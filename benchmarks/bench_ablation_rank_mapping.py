@@ -11,7 +11,6 @@ records the answer.
 from __future__ import annotations
 
 from repro.cubesphere import cubed_sphere_mesh
-from repro.experiments import format_table, make_partition
 from repro.graphs import mesh_graph
 from repro.machine import (
     P690_CLUSTER,
@@ -20,6 +19,8 @@ from repro.machine import (
     greedy_comm_mapping,
     random_mapping,
 )
+from repro.partition import PartitionProblem, registry
+from repro.report import format_table
 
 NE, NPROC = 8, 192
 
@@ -29,7 +30,7 @@ def _run_matrix():
     model = PerformanceModel()
     out = {}
     for method in ("sfc", "rb", "kway"):
-        part = make_partition(NE, NPROC, method)
+        part = registry.get(method)(PartitionProblem(ne=NE, nparts=NPROC))
         times = {
             "identity": model.step_timing(graph, part).step_s,
             "random": model.step_timing(

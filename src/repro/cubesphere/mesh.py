@@ -17,14 +17,15 @@ of the same code path as face-interior neighbors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
+from ..lru import LRUCache
+from ..telemetry import span
 from .projection import element_center_local, local_to_sphere, sphere_to_lonlat
 from .topology import NUM_FACES, corner_nodes_scaled
 
-__all__ = ["CubedSphereMesh", "cubed_sphere_mesh"]
+__all__ = ["MESH_CACHE", "CubedSphereMesh", "cubed_sphere_mesh"]
 
 
 @dataclass(frozen=True)
@@ -251,12 +252,25 @@ class CubedSphereMesh:
         )
 
 
-@lru_cache(maxsize=32)
+#: The process-wide mesh memo (published as ``stage_cache_total{stage="mesh"}``).
+MESH_CACHE = LRUCache(32, "stage_cache_total", stage="mesh")
+
+
 def cubed_sphere_mesh(ne: int, projection: str = "equiangular") -> CubedSphereMesh:
     """Cached constructor for :class:`CubedSphereMesh`.
 
     Mesh construction is the most expensive pure-topology step, and
     experiments re-use the same handful of resolutions, so meshes are
-    memoized (they are immutable after construction).
+    memoized (they are immutable after construction) in one LRU of 32
+    entries shared by every caller, the partition pipeline included.
     """
-    return CubedSphereMesh(ne, projection)
+    key = (int(ne), projection)
+
+    def build() -> CubedSphereMesh:
+        with span("stage:mesh", "pipeline", key=str(key)):
+            return CubedSphereMesh(ne, projection)
+
+    return MESH_CACHE.get_or_compute(key, build)
+
+
+cubed_sphere_mesh.cache_clear = MESH_CACHE.clear

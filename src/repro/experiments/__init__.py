@@ -15,11 +15,10 @@ from .figures import (
     METIS_BASELINES,
     MethodResult,
     best_metis,
-    make_partition,
     run_method,
     speedup_sweep,
 )
-from .report import format_series, format_table
+from ..report import format_series, format_table
 from .resolutions import (
     PAPER_RESOLUTIONS,
     Resolution,
@@ -47,7 +46,6 @@ __all__ = [
     "future_scaling_study",
     "format_table",
     "hilbert_peano_gap_study",
-    "make_partition",
     "network_ablation",
     "network_sensitivity",
     "refinement_order_study",

@@ -10,7 +10,6 @@ model.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from ..graphs.csr import CSRGraph
@@ -25,7 +24,6 @@ from .resolutions import admissible_nprocs
 
 __all__ = [
     "MethodResult",
-    "make_partition",
     "run_method",
     "speedup_sweep",
     "best_metis",
@@ -73,27 +71,6 @@ class MethodResult:
     @property
     def step_us(self) -> float:
         return self.timing.step_s * 1.0e6
-
-
-def make_partition(
-    ne: int, nproc: int, method: str, seed: int = 0, schedule: str | None = None
-) -> Partition:
-    """Partition the cubed-sphere at ``ne`` with the named method.
-
-    .. deprecated::
-        Thin alias for
-        :func:`repro.partition.pipeline.partition_stage`, kept for
-        backwards compatibility; methods now resolve through
-        :mod:`repro.partition.registry`.
-    """
-    warnings.warn(
-        "experiments.make_partition is deprecated; use "
-        "repro.partition.partition_stage (methods resolve through the "
-        "partitioner registry)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return partition_stage(method, ne, nproc, seed=seed, schedule=schedule)
 
 
 def run_method(

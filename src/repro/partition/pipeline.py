@@ -10,13 +10,15 @@ traced (a ``stage:<name>`` telemetry span) and versioned:
 * **partition** — the registry-resolved method applied to the problem;
 * **evaluate** — the Table-2 quality metrics of the partition.
 
-The mesh and graph stages are memoized in small per-process LRU caches
-keyed by ``(stage version, parameters)``, so a batch that sweeps many
-methods at the same ``ne`` builds the mesh and graph **once** and every
-other method reuses them (``stage_cache_total{stage=...,outcome=hit}``
-counts the reuse).  The partition and evaluate stages are *not*
-memoized here — their results are exactly what the service engine's
-two-tier response cache stores, content-addressed by request.
+The mesh and graph stages are memoized per process — the mesh by
+:func:`repro.cubesphere.mesh.cubed_sphere_mesh`'s own LRU, the graph
+in an LRU keyed by ``(stage version, parameters)`` — so a batch that
+sweeps many methods at the same ``ne`` builds the mesh and graph
+**once** and every other method reuses them
+(``stage_cache_total{stage=...,outcome=hit}`` counts the reuse).
+The partition and evaluate stages are *not* memoized here — their
+results are exactly what the service engine's two-tier response
+cache stores, content-addressed by request.
 
 :data:`STAGE_VERSIONS` tags every stage's implementation; bump a
 stage's version whenever its output changes and :func:`cache_version`
@@ -27,12 +29,13 @@ served.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..telemetry import inc, span
+from ..cubesphere.mesh import MESH_CACHE, cubed_sphere_mesh
+from ..lru import LRUCache
+from ..telemetry import span
 from . import registry
 from .base import Partition
 from .metrics import PartitionQuality, evaluate_partition
@@ -72,62 +75,17 @@ def cache_version() -> str:
     return ".".join(f"{s}{STAGE_VERSIONS[s]}" for s in STAGE_VERSIONS)
 
 
-class _StageCache:
-    """Small LRU memoizer for one pipeline stage, with hit/miss stats."""
-
-    def __init__(self, stage: str, maxsize: int) -> None:
-        self.stage = stage
-        self.maxsize = maxsize
-        self._entries: OrderedDict[tuple, object] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def get_or_compute(self, key: tuple, compute):
-        full_key = (STAGE_VERSIONS[self.stage], *key)
-        if full_key in self._entries:
-            self._entries.move_to_end(full_key)
-            self.hits += 1
-            inc("stage_cache_total", stage=self.stage, outcome="hit")
-            return self._entries[full_key]
-        self.misses += 1
-        inc("stage_cache_total", stage=self.stage, outcome="miss")
-        with span(
-            f"stage:{self.stage}",
-            "pipeline",
-            version=STAGE_VERSIONS[self.stage],
-            key=str(key),
-        ):
-            value = compute()
-        self._entries[full_key] = value
-        while len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
-        return value
-
-    def stats(self) -> dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "entries": len(self._entries),
-        }
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self.hits = 0
-        self.misses = 0
-
-
-_MESH_CACHE = _StageCache("mesh", maxsize=32)
-_GRAPH_CACHE = _StageCache("graph", maxsize=16)
+_GRAPH_CACHE = LRUCache(16, "stage_cache_total", stage="graph")
 
 
 def stage_cache_stats() -> dict[str, dict[str, int]]:
     """Hit/miss/entry counts of the memoized stages (this process)."""
-    return {"mesh": _MESH_CACHE.stats(), "graph": _GRAPH_CACHE.stats()}
+    return {"mesh": MESH_CACHE.stats(), "graph": _GRAPH_CACHE.stats()}
 
 
 def clear_stage_caches() -> None:
     """Drop the mesh/graph stage caches and reset their counters."""
-    _MESH_CACHE.clear()
+    MESH_CACHE.clear()
     _GRAPH_CACHE.clear()
 
 
@@ -140,14 +98,8 @@ def _default_npts() -> int:
 
 
 def mesh_stage(ne: int):
-    """The cubed-sphere mesh at ``ne`` (stage-cached per process)."""
-
-    def compute():
-        from ..cubesphere.mesh import cubed_sphere_mesh
-
-        return cubed_sphere_mesh(ne)
-
-    return _MESH_CACHE.get_or_compute((int(ne),), compute)
+    """The cubed-sphere mesh at ``ne`` (the process-wide mesh memo)."""
+    return cubed_sphere_mesh(ne)
 
 
 def graph_stage(ne: int, npts: int | None = None):
@@ -159,13 +111,18 @@ def graph_stage(ne: int, npts: int | None = None):
             SEAM cost model's point count.
     """
     npts = _default_npts() if npts is None else int(npts)
+    key = (int(ne), npts)
 
     def compute():
         from ..graphs.csr import mesh_graph
 
-        return mesh_graph(mesh_stage(ne), edge_weight=npts, corner_weight=1)
+        with span(
+            "stage:graph", "pipeline",
+            version=STAGE_VERSIONS["graph"], key=str(key),
+        ):
+            return mesh_graph(mesh_stage(ne), edge_weight=npts, corner_weight=1)
 
-    return _GRAPH_CACHE.get_or_compute((int(ne), npts), compute)
+    return _GRAPH_CACHE.get_or_compute((STAGE_VERSIONS["graph"], *key), compute)
 
 
 def partition_stage(

@@ -160,30 +160,32 @@ def refine_cut_positions(
     nparts = len(bounds) - 1
     prefix = np.concatenate([[0.0], np.cumsum(weights)])
 
-    def load(p: int) -> float:
-        return prefix[bounds[p + 1]] - prefix[bounds[p]]
-
     sweeps = 0
     moved = True
     while moved and (max_sweeps is None or sweeps < max_sweeps):
         moved = False
         sweeps += 1
         for p in range(1, nparts):
+            lo, hi = bounds[p - 1], bounds[p + 1]
+            start, end = prefix[lo], prefix[hi]
+            # Candidate loads must come from the same prefix array as
+            # the current ones: loads formed as ``left - w`` round
+            # differently and can accept a shift and its reverse forever.
             while True:
-                left, right = load(p - 1), load(p)
-                worse = max(left, right)
                 b = bounds[p]
+                at = prefix[b]
+                worse = max(at - start, end - at)
                 # Shift the left segment's last element rightward.
-                if b - bounds[p - 1] >= 2:
-                    w = weights[b - 1]
-                    if max(left - w, right + w) < worse:
+                if b - lo >= 2:
+                    at = prefix[b - 1]
+                    if max(at - start, end - at) < worse:
                         bounds[p] = b - 1
                         moved = True
                         continue
                 # Shift the right segment's first element leftward.
-                if bounds[p + 1] - b >= 2:
-                    w = weights[b]
-                    if max(left + w, right - w) < worse:
+                if hi - b >= 2:
+                    at = prefix[b + 1]
+                    if max(at - start, end - at) < worse:
                         bounds[p] = b + 1
                         moved = True
                         continue

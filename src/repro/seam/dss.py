@@ -26,13 +26,13 @@ axes, projecting e.g. a ``(nelem, np, np, 3)`` velocity in one call.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
 from .._native import LIB, as_f64p, as_i64p
 from ..partition.base import Partition
+from ..lru import LRUCache
 from ..telemetry import inc, span
 from .element import GridGeometry
 
@@ -282,63 +282,25 @@ class DSSOperator:
         return float((self.local_mass * field).sum())
 
 
-class _DSSMemo:
-    """Per-geometry DSS operator memo (mirrors the pipeline stage memo).
-
-    ``ShallowWaterSolver`` and ``TransportSolver`` each build a
-    ``DSSOperator`` (and thus a point map) when none is passed; solvers
-    at the same resolution now share one operator instead.  Keyed by
-    ``(ne, npts)`` with an identity check on the geometry object, so a
-    rebuilt geometry (e.g. after ``clear_geometry_cache``) never pairs
-    with a stale operator.
-    """
-
-    def __init__(self, maxsize: int = 8) -> None:
-        self.maxsize = maxsize
-        self._entries: OrderedDict[tuple[int, int], DSSOperator] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def get_or_build(self, geom: GridGeometry) -> DSSOperator:
-        key = (geom.mesh.ne, geom.npts)
-        op = self._entries.get(key)
-        if op is not None and op.geom is geom:
-            self._entries.move_to_end(key)
-            self.hits += 1
-            inc("dss_memo_total", outcome="hit")
-            return op
-        self.misses += 1
-        inc("dss_memo_total", outcome="miss")
-        op = DSSOperator(geom)
-        self._entries[key] = op
-        while len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
-        return op
-
-    def stats(self) -> dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "entries": len(self._entries),
-        }
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self.hits = 0
-        self.misses = 0
-
-
-_DSS_MEMO = _DSSMemo(maxsize=8)
+#: Per-geometry DSS operator memo: ``ShallowWaterSolver`` and
+#: ``TransportSolver`` at the same resolution share one operator (and
+#: point map) instead of each building its own.
+_DSS_MEMO = LRUCache(8, "dss_memo_total")
 
 
 def shared_dss_operator(geom: GridGeometry) -> DSSOperator:
     """A :class:`DSSOperator` for ``geom``, shared across solvers.
 
-    Returns the memoized operator when ``geom`` is the same object as
-    the one the cached operator was built for; otherwise builds (and
-    memoizes) a fresh one.
+    Memoized by ``(ne, npts)``; the memoized operator is returned only
+    when ``geom`` is the very object it was built for, so a rebuilt
+    geometry (e.g. after ``clear_geometry_cache``) never pairs with a
+    stale operator — it builds and memoizes a fresh one instead.
     """
-    return _DSS_MEMO.get_or_build(geom)
+    return _DSS_MEMO.get_or_compute(
+        (geom.mesh.ne, geom.npts),
+        lambda: DSSOperator(geom),
+        valid=lambda op: op.geom is geom,
+    )
 
 
 def dss_memo_stats() -> dict[str, int]:

@@ -27,14 +27,14 @@ elements]`` on every construction.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..cubesphere.mesh import CubedSphereMesh
 from ..cubesphere.topology import FACES
-from ..telemetry import inc, span
+from ..lru import LRUCache
+from ..telemetry import span
 from .gll import GLLBasis, gll_basis
 
 __all__ = [
@@ -365,71 +365,24 @@ def _build_grid_geometry(ne: int, npts: int) -> GridGeometry:
     return GridGeometry(mesh, basis, *stacks)
 
 
-class GeometryCache:
-    """Documented LRU cache of built grid geometries.
-
-    Replaces the historical opaque ``lru_cache(maxsize=8)`` on
-    :func:`build_geometry`: same eviction policy (least recently used
-    beyond ``maxsize`` entries), but with hit/miss counters published
-    to the metrics registry (``geometry_cache_total{outcome=...}``), a
-    traced build span (``geometry_build``), and per-entry stats
-    surfaced by ``repro cache info``.  The eviction hazard is now
-    observable: a workload cycling through more than ``maxsize``
-    distinct ``(ne, npts)`` resolutions shows up as a rising miss
-    count, not silent rebuild latency.
-    """
-
-    def __init__(self, maxsize: int = 8) -> None:
-        self.maxsize = maxsize
-        self._entries: OrderedDict[tuple[int, int], GridGeometry] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def get_or_build(self, ne: int, npts: int) -> GridGeometry:
-        key = (ne, npts)
-        geom = self._entries.get(key)
-        if geom is not None:
-            self._entries.move_to_end(key)
-            self.hits += 1
-            inc("geometry_cache_total", outcome="hit")
-            return geom
-        self.misses += 1
-        inc("geometry_cache_total", outcome="miss")
-        with span("geometry_build", "seam", ne=ne, npts=npts):
-            geom = _build_grid_geometry(ne, npts)
-        self._entries[key] = geom
-        while len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
-            self.evictions += 1
-        return geom
-
-    def stats(self) -> dict[str, object]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "entries": len(self._entries),
-            "maxsize": self.maxsize,
-            "keys": [
-                {"ne": ne, "npts": npts, "bytes": geom.nbytes()}
-                for (ne, npts), geom in self._entries.items()
-            ],
-        }
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-
-_GEOMETRY_CACHE = GeometryCache(maxsize=8)
+#: Built geometries by ``(ne, npts)``; lookups are published under
+#: ``geometry_cache_total``.  A workload cycling through more than 8
+#: resolutions shows up as a rising miss count, not silent rebuilds.
+_GEOMETRY_CACHE = LRUCache(8, "geometry_cache_total")
 
 
 def geometry_cache_stats() -> dict[str, object]:
     """Hit/miss/eviction counts and entries of the geometry cache."""
-    return _GEOMETRY_CACHE.stats()
+    cache = _GEOMETRY_CACHE
+    return {
+        **cache.stats(),
+        "evictions": cache.evictions,
+        "maxsize": cache.maxsize,
+        "keys": [
+            {"ne": ne, "npts": npts, "bytes": geom.nbytes()}
+            for (ne, npts), geom in cache.items()
+        ],
+    }
 
 
 def clear_geometry_cache() -> None:
@@ -440,12 +393,18 @@ def clear_geometry_cache() -> None:
 def build_geometry(ne: int, npts: int = 8) -> GridGeometry:
     """Build (and cache) the SE grid geometry for resolution ``ne``.
 
-    Cached in a process-wide :class:`GeometryCache` (LRU, 8 entries,
-    hit/miss counters under ``geometry_cache_total``); repeated calls
-    at the same resolution return the same object.
+    Cached in a process-wide LRU (8 entries, hit/miss counters under
+    ``geometry_cache_total``, a ``geometry_build`` span per build);
+    repeated calls at the same resolution return the same object.
 
     Args:
         ne: Elements per cube-face edge.
         npts: GLL points per element edge (SEAM default 8).
     """
-    return _GEOMETRY_CACHE.get_or_build(int(ne), int(npts))
+    ne, npts = int(ne), int(npts)
+
+    def build() -> GridGeometry:
+        with span("geometry_build", "seam", ne=ne, npts=npts):
+            return _build_grid_geometry(ne, npts)
+
+    return _GEOMETRY_CACHE.get_or_compute((ne, npts), build)

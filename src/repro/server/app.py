@@ -12,10 +12,9 @@
   :class:`~repro.service.requests.RepartitionRequest` (old assignment
   + new weights); answers with the migration-minimizing plan (moved
   gids per rank, weight moved, LB before/after).  Served through the
-  same coalescing, admission control, metrics, and trace propagation
-  as ``/partition``, with a server-local plan LRU in place of the
-  engine's response cache (plans are diffs against a caller-supplied
-  assignment, not pure partition functions).
+  same cache lookup, coalescing, admission control, metrics, and trace
+  propagation as ``/partition``, with a server-local, memory-only plan
+  cache in place of the engine's response cache.
 * ``GET /healthz`` — liveness, the in-flight/pending picture, and the
   rolling multi-window SLO verdict (``ok`` / ``degraded``).
 * ``GET /methods`` — the partitioner registry as JSON.
@@ -70,7 +69,7 @@ import json
 import os
 import sys
 import time
-from collections import OrderedDict, deque
+from collections import deque
 from contextlib import ExitStack, suppress
 from time import perf_counter
 
@@ -78,7 +77,7 @@ from .. import __version__
 from ..partition import registry
 from ..seam.dss import dss_memo_stats
 from ..seam.element import geometry_cache_stats
-from ..service import PartitionEngine, PartitionRequest
+from ..service import PartitionCache, PartitionEngine, PartitionRequest
 from ..service.engine import _pool_compute, _record_response_metrics
 from ..service.requests import RepartitionRequest
 from ..telemetry import (
@@ -116,7 +115,7 @@ MAX_BATCH_ITEMS = 4096
 #: Capacity of the /debug/requests ring buffer.
 DEBUG_RING_SIZE = 128
 
-#: Capacity of the server-local repartition plan LRU.
+#: Capacity of the server-local repartition plan cache.
 REPARTITION_CACHE_SIZE = 64
 
 #: Every route the server answers (404 bodies list these as a hint).
@@ -209,7 +208,7 @@ class PartitionServer:
         self.session: TelemetrySession | None = None
         self.slo = slo if slo is not None else SLOTracker()
         self._recent: deque[dict] = deque(maxlen=DEBUG_RING_SIZE)
-        self._repart_cache: "OrderedDict[str, object]" = OrderedDict()
+        self._plans = PartitionCache(capacity=REPARTITION_CACHE_SIZE)
         self._started_at = time.time()
 
     # -- lifecycle ------------------------------------------------------
@@ -514,7 +513,7 @@ class PartitionServer:
 
     async def _serve_partition(self, request: HTTPRequest) -> _Result:
         preq = self._parse_partition_request(self._decode_json(request.body))
-        response = await self._resolve(preq)
+        response = await self._resolve(preq, self.engine.cache, self._record)
         return _Result(
             200,
             json_body(self._stamp_identity(response.to_dict())),
@@ -524,7 +523,9 @@ class PartitionServer:
 
     async def _serve_repartition(self, request: HTTPRequest) -> _Result:
         rreq = self._parse_repartition_request(self._decode_json(request.body))
-        response = await self._resolve_repartition(rreq)
+        response = await self._resolve(
+            rreq, self._plans, self._record_repartition
+        )
         return _Result(
             200,
             json_body(self._stamp_identity(response.to_dict())),
@@ -550,7 +551,10 @@ class PartitionServer:
 
         async def one(item: object) -> dict:
             try:
-                response = await self._resolve(self._parse_partition_request(item))
+                response = await self._resolve(
+                    self._parse_partition_request(item),
+                    self.engine.cache, self._record,
+                )
                 return response.to_dict()
             except HTTPError as exc:
                 return json.loads(error_body(exc))
@@ -713,35 +717,19 @@ class PartitionServer:
 
     # -- the serving core: cache -> coalesce -> admit -> compute --------
 
-    async def _resolve(self, request: PartitionRequest):
-        """Answer one partition request on the event loop."""
-        hit = self.engine.cache.get(request)
-        if hit is not None:
-            self._record(hit)
-            return hit
-        return await self._admit_and_compute(request, self._record)
+    async def _resolve(self, request, cache: PartitionCache, record):
+        """Answer one request on the event loop.
 
-    async def _resolve_repartition(self, request: RepartitionRequest):
-        """Answer one repartition request on the event loop.
-
-        Same coalescing and admission control as :meth:`_resolve`
-        (the shared ``_inflight`` map cannot mix the two request kinds:
-        repartition cache keys carry a ``"kind"`` marker); the cache
-        tier is the server-local plan LRU instead of the engine's
-        content-addressed response cache.
+        ``cache`` is the engine's response cache for partition requests
+        and the server's plan cache for repartition requests; the
+        shared ``_inflight`` map cannot mix the two kinds (repartition
+        cache keys carry a ``"kind"`` marker).  ``record`` does the
+        per-response bookkeeping.
         """
-        key = request.cache_key()
-        hit = self._repart_cache.get(key)
+        hit = cache.get(request)
         if hit is not None:
-            self._repart_cache.move_to_end(key)
-            inc("server_repartition_cache_hits")
-            response = hit.with_source("memory")
-            self._record_repartition(response)
-            return response
-        return await self._admit_and_compute(request, self._record_repartition)
-
-    async def _admit_and_compute(self, request, record):
-        """Coalesce -> admit -> compute for one uncached request."""
+            record(hit)
+            return hit
         key = request.cache_key()
         inflight = self._inflight.get(key)
         if inflight is not None:
@@ -763,7 +751,9 @@ class PartitionServer:
                 f"(max {self.max_pending}); retry later",
                 {"Retry-After": "1"},
             )
-        task = asyncio.get_running_loop().create_task(self._compute(request))
+        task = asyncio.get_running_loop().create_task(
+            self._compute(request, cache)
+        )
         self._inflight[key] = task
         task.add_done_callback(lambda t, key=key: self._forget_inflight(key, t))
         set_gauge("server_queue_depth", len(self._inflight))
@@ -777,7 +767,7 @@ class PartitionServer:
         if not task.cancelled():
             task.exception()  # consume: every waiter may have disconnected
 
-    async def _compute(self, request: PartitionRequest):
+    async def _compute(self, request, cache: PartitionCache):
         """Run one cache miss in the engine's worker pool.
 
         The compute task inherits the *first* requester's trace context
@@ -796,12 +786,7 @@ class PartitionServer:
         if payload is not None:
             replay_payload(payload)
             inc("worker_payloads_merged")
-        if isinstance(request, RepartitionRequest):
-            self._repart_cache[request.cache_key()] = response
-            while len(self._repart_cache) > REPARTITION_CACHE_SIZE:
-                self._repart_cache.popitem(last=False)
-        else:
-            self.engine.cache.put(request, response)
+        cache.put(request, response)
         return response
 
     def _record(self, response) -> None:
@@ -816,6 +801,8 @@ class PartitionServer:
         migration quantities, not Table-2 partition metrics.
         """
         self.engine.stats.record(response)
+        if response.source == "memory":
+            inc("server_repartition_cache_hits")
         partitioner = registry.get(response.request.method).name
         inc(
             "server_repartition_total",

@@ -30,11 +30,11 @@ from __future__ import annotations
 
 import json
 import os
-from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
 
+from ..lru import LRUCache
 from ..partition.pipeline import cache_version
 from .requests import PartitionRequest, PartitionResponse
 
@@ -77,6 +77,10 @@ def scan_cache_dir(cache_dir: Path | str) -> dict[str, int | str]:
 class PartitionCache:
     """Two-tier (memory LRU + disk) content-addressed response cache.
 
+    The memory tier only needs ``request.cache_key()`` and
+    ``response.with_source()``, so the server also keeps repartition
+    plans in a memory-only instance.
+
     Args:
         capacity: Maximum responses held in memory (LRU eviction).
         cache_dir: Optional directory for the persistent tier; created
@@ -90,7 +94,7 @@ class PartitionCache:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        self._memory: OrderedDict[str, PartitionResponse] = OrderedDict()
+        self._memory = LRUCache(capacity)
         self.memory_hits = 0
         self.disk_hits = 0
         self.misses = 0
@@ -108,13 +112,12 @@ class PartitionCache:
         key = request.cache_key()
         hit = self._memory.get(key)
         if hit is not None:
-            self._memory.move_to_end(key)
             self.memory_hits += 1
             return hit.with_source("memory")
         hit = self._load_disk(key, request)
         if hit is not None:
             self.disk_hits += 1
-            self._remember(key, hit)
+            self._memory.put(key, hit)
             return hit
         self.misses += 1
         return None
@@ -122,7 +125,7 @@ class PartitionCache:
     def put(self, request: PartitionRequest, response: PartitionResponse) -> None:
         """Insert a computed response into both tiers."""
         key = request.cache_key()
-        self._remember(key, response)
+        self._memory.put(key, response)
         if self.cache_dir is not None:
             self._store_disk(key, response)
         self.stores += 1
@@ -163,12 +166,6 @@ class PartitionCache:
         }
 
     # -- internals ------------------------------------------------------
-
-    def _remember(self, key: str, response: PartitionResponse) -> None:
-        self._memory[key] = response
-        self._memory.move_to_end(key)
-        while len(self._memory) > self.capacity:
-            self._memory.popitem(last=False)
 
     def _path(self, key: str) -> Path:
         assert self.cache_dir is not None

@@ -23,6 +23,7 @@ trivially debuggable.
 
 from __future__ import annotations
 
+import ctypes
 import threading
 import time
 from collections.abc import Sequence
@@ -161,6 +162,7 @@ def _pool_compute(item: tuple[PartitionRequest, bool, dict | None]):
 
     Dispatches on the request type, so partition and repartition
     requests share one pool path (and one tuple shape on the wire).
+    Every task ends with :func:`_release_free_heap`.
     """
     request, collect, ctx_dict = item
     compute = (
@@ -168,20 +170,38 @@ def _pool_compute(item: tuple[PartitionRequest, bool, dict | None]):
         if isinstance(request, RepartitionRequest)
         else compute_response
     )
-    if not collect:
-        return compute(request), None
-    with request_context(RequestContext.from_dict(ctx_dict)):
-        with worker_session() as session:
-            response = compute(request)
-            log_event(
-                "worker.compute",
-                key=request.cache_key()[:12],
-                method=request.method,
-                ne=request.ne,
-                nparts=request.nparts,
-                elapsed_ms=round(1e3 * response.elapsed_s, 3),
-            )
-    return response, session.to_payload()
+    try:
+        if not collect:
+            return compute(request), None
+        with request_context(RequestContext.from_dict(ctx_dict)):
+            with worker_session() as session:
+                response = compute(request)
+                log_event(
+                    "worker.compute",
+                    key=request.cache_key()[:12],
+                    method=request.method,
+                    ne=request.ne,
+                    nparts=request.nparts,
+                    elapsed_ms=round(1e3 * response.elapsed_s, 3),
+                )
+        return response, session.to_payload()
+    finally:
+        _release_free_heap()
+
+
+def _release_free_heap() -> None:
+    """Hand a pool worker's freed heap pages back to the OS (glibc only).
+
+    A large mesh build frees tens of MiB of heap, which glibc keeps
+    resident whenever a long-lived block was allocated above it.  That
+    depends on allocation order, so the same request sequence left one
+    worker at ~130 or ~220 MiB resident from run to run; trimming after
+    every task makes the resident size follow the live data.
+    """
+    try:
+        ctypes.CDLL(None).malloc_trim(0)
+    except (AttributeError, OSError, TypeError):
+        pass  # not glibc: nothing to trim
 
 
 def _record_response_metrics(response: PartitionResponse) -> None:

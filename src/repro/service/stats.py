@@ -1,85 +1,62 @@
-"""Service instrumentation: per-request timing and utilization.
+"""Service instrumentation: per-source counts, timing and utilization.
 
-The engine records one :class:`RequestRecord` per served request and
-one wall-clock sample per batch.  :class:`ServiceStats` aggregates
-them into the numbers an operator cares about — hit rate, throughput,
-worker utilization — and renders both a per-source summary and a
-per-request breakdown via :func:`~repro.report.format_table`
-so service telemetry looks like every other table in the repo.
+The engine and the server record every served response and the engine
+one wall-clock sample per batch.  :class:`ServiceStats` keeps only
+running totals — a count per response source plus summed compute and
+wall seconds — so its memory and the cost of :meth:`~ServiceStats.summary`
+stay constant however long a server runs.  It derives the numbers an
+operator cares about (hit rate, throughput, worker utilization) and
+renders them via :func:`~repro.report.format_table` so service
+telemetry looks like every other table in the repo.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
-__all__ = ["RequestRecord", "ServiceStats"]
-
-SOURCES = ("computed", "memory", "disk", "dedup", "coalesced")
-
-
-@dataclass(frozen=True)
-class RequestRecord:
-    """One served request.
-
-    Attributes:
-        key: Short prefix of the request's content hash.
-        ne, nparts, method, seed: The request tuple.
-        source: ``"computed"``, ``"memory"``, ``"disk"``, ``"dedup"``
-            (a within-batch duplicate sharing another request's answer)
-            or ``"coalesced"`` (a concurrent server request that joined
-            another request's in-flight compute).
-        elapsed_s: Compute time (0 for cache hits).
-    """
-
-    key: str
-    ne: int
-    nparts: int
-    method: str
-    seed: int
-    source: str
-    elapsed_s: float
+__all__ = ["ServiceStats"]
 
 
 @dataclass
 class ServiceStats:
     """Aggregated engine telemetry across one or more batches.
 
+    A response's ``source`` is ``"computed"``, ``"memory"``, ``"disk"``,
+    ``"dedup"`` (a within-batch duplicate sharing another request's
+    answer) or ``"coalesced"`` (a concurrent server request that
+    joined another request's in-flight compute).
+
     Attributes:
         jobs: Worker count of the owning engine.
-        records: Per-request records, in service order.
-        batch_walls: Wall-clock seconds of each ``run()`` call.
+        sources: Served responses per source.
+        compute_s: Total worker compute time of computed responses
+            (sums across parallel workers).
+        wall_s: Summed wall-clock seconds of every ``run()`` call.
     """
 
     jobs: int = 1
-    records: list[RequestRecord] = field(default_factory=list)
-    batch_walls: list[float] = field(default_factory=list)
+    sources: Counter = field(default_factory=Counter)
+    compute_s: float = 0.0
+    wall_s: float = 0.0
 
     def record(self, response) -> None:
-        """Append one served response."""
-        req = response.request
-        self.records.append(
-            RequestRecord(
-                key=req.cache_key()[:12],
-                ne=req.ne,
-                nparts=req.nparts,
-                method=req.method,
-                seed=req.seed,
-                source=response.source,
-                elapsed_s=response.elapsed_s,
-            )
-        )
+        """Count one served response."""
+        self.sources[response.source] += 1
+        if response.source == "computed":
+            self.compute_s += response.elapsed_s
 
     def record_batch_wall(self, wall_s: float) -> None:
-        self.batch_walls.append(wall_s)
+        self.wall_s += wall_s
 
     # -- aggregates -----------------------------------------------------
 
     @property
     def total_requests(self) -> int:
-        return len(self.records)
+        return sum(self.sources.values())
 
     def count(self, source: str) -> int:
-        return sum(1 for r in self.records if r.source == source)
+        return self.sources[source]
 
     @property
     def hits(self) -> int:
@@ -88,16 +65,8 @@ class ServiceStats:
 
     @property
     def hit_rate(self) -> float:
-        return self.hits / self.total_requests if self.records else 0.0
-
-    @property
-    def wall_s(self) -> float:
-        return sum(self.batch_walls)
-
-    @property
-    def compute_s(self) -> float:
-        """Total worker compute time (sums across parallel workers)."""
-        return sum(r.elapsed_s for r in self.records if r.source == "computed")
+        total = self.total_requests
+        return self.hits / total if total else 0.0
 
     @property
     def throughput(self) -> float:
@@ -129,29 +98,12 @@ class ServiceStats:
             "jobs": self.jobs,
         }
 
-    def render(self, per_request: bool = False) -> str:
-        """Render the telemetry as aligned text tables."""
+    def render(self) -> str:
+        """Render the summary as an aligned text table."""
         from ..report import format_table
 
-        summary = self.summary()
-        blocks = [
-            format_table(
-                ["metric", "value"],
-                [[k, v] for k, v in summary.items()],
-                title="Partition service stats",
-            )
-        ]
-        if per_request:
-            rows = [
-                [r.key, r.ne, r.nparts, r.method, r.seed, r.source,
-                 f"{1e3 * r.elapsed_s:.1f}"]
-                for r in self.records
-            ]
-            blocks.append(
-                format_table(
-                    ["key", "ne", "nparts", "method", "seed", "source", "ms"],
-                    rows,
-                    title="Requests",
-                )
-            )
-        return "\n\n".join(blocks)
+        return format_table(
+            ["metric", "value"],
+            [[k, v] for k, v in self.summary().items()],
+            title="Partition service stats",
+        )

@@ -7,32 +7,31 @@ import pytest
 from repro.experiments.figures import (
     ALL_METHODS,
     best_metis,
-    make_partition,
     run_method,
     speedup_sweep,
 )
+from repro.partition.pipeline import partition_stage
 
 
 class TestMakePartition:
-    """The deprecated alias still dispatches through the registry."""
+    """Figure sweeps make partitions through ``partition_stage``, which
+    resolves every method in the partitioner registry."""
 
     @pytest.mark.parametrize("method", ALL_METHODS)
     def test_all_methods(self, method):
-        with pytest.deprecated_call():
-            p = make_partition(4, 8, method)
+        p = partition_stage(method, 4, 8)
         assert p.nparts == 8
         assert p.nvertices == 96
 
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="unknown method"):
-            make_partition(4, 8, "quantum")
+            partition_stage("quantum", 4, 8)
 
     def test_sfc_schedule_passthrough(self):
         import numpy as np
 
-        with pytest.deprecated_call():
-            a = make_partition(6, 12, "sfc", schedule="PH")
-            b = make_partition(6, 12, "sfc", schedule="HP")
+        a = partition_stage("sfc", 6, 12, schedule="PH")
+        b = partition_stage("sfc", 6, 12, schedule="HP")
         assert not np.array_equal(a.assignment, b.assignment)
 
 

@@ -119,3 +119,23 @@ class TestRefinedPartitions:
         p = sfc_partition(4, 8, weights=w)
         loads = np.bincount(p.assignment, weights=w, minlength=8)
         assert load_balance(loads) < 0.15
+
+    def test_storm_cut_terminates(self):
+        """Regression: rounding between the candidate test and the
+        recomputed loads once made a boundary oscillate forever here."""
+        import threading
+
+        from repro.partition import sfc_partition
+        from repro.scenarios import scenario_weights
+
+        w = scenario_weights("storm", 3, 62)
+        result = {}
+        worker = threading.Thread(
+            target=lambda: result.update(p=sfc_partition(3, 38, weights=w)),
+            daemon=True,
+        )
+        worker.start()
+        worker.join(timeout=30)
+        assert "p" in result, "weighted cut did not finish within 30 s"
+        loads = np.bincount(result["p"].assignment, weights=w, minlength=38)
+        assert (loads > 0).all()

@@ -36,7 +36,7 @@ def test_empty_stats_summary_and_render_do_not_crash():
     assert summary["requests"] == 0
     assert summary["hit_rate"] == 0.0
     assert summary["throughput_rps"] == 0.0
-    text = stats.render(per_request=True)
+    text = stats.render()
     assert "Partition service stats" in text
 
 
@@ -49,7 +49,7 @@ def test_zero_elapsed_batch_does_not_crash():
     assert stats.worker_utilization == 0.0
     summary = stats.summary()
     assert summary["wall_s"] == 0.0
-    assert "memory" in stats.render(per_request=True)
+    assert "memory" in stats.render()
 
 
 def test_engine_empty_batch():
@@ -94,9 +94,8 @@ def test_summary_keys_match_render():
     stats.record(response(2, "computed", 0.05))
     stats.record_batch_wall(0.1)
     summary = stats.summary()
-    text = stats.render(per_request=True)
+    text = stats.render()
     for key in summary:
         assert key in text
     assert "Partition service stats" in text
-    assert "Requests" in text  # per-request table title
     assert "computed" in text
