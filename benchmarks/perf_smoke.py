@@ -4,7 +4,8 @@
 Times the kernelized hot paths at K=96 — the three METIS partitioners,
 the SFC partitioner, the halo-schedule build, a partitioned DSS apply,
 the fused DSS apply, a shallow-water RK3 step, and the batched
-geometry build — and compares each against the committed baseline
+geometry build — plus a fresh mesh + element graph at K=6144, and
+compares each against the committed baseline
 (``benchmarks/perf_baseline.json``).  Any timing more than ``--tolerance``
 times its baseline (default 3x, loose enough for machine-to-machine
 variation but tight enough to catch a de-kernelized hot path) fails the
@@ -33,6 +34,7 @@ sys.path.insert(0, str(HERE.parent / "src"))
 
 NE = 4  # K = 6 * NE^2 = 96 elements
 NPARTS = 48
+MESH_GRAPH_NE = 32  # the mesh_graph_build metric's size (K = 6144)
 BASELINE_PATH = HERE / "perf_baseline.json"
 RESULTS_PATH = HERE / "results" / "perf_smoke.json"
 
@@ -134,6 +136,14 @@ def measure() -> dict[str, float]:
 
     _build_grid_geometry(NE, 8)  # warm (allocator free lists)
     timings["geometry_build"] = _best_of(lambda: _build_grid_geometry(NE, 8))
+
+    # Topology behind every cold served request: a fresh mesh (no
+    # MESH_CACHE) plus its element graph.
+    from repro.cubesphere import CubedSphereMesh
+
+    timings["mesh_graph_build"] = _best_of(
+        lambda: mesh_graph(CubedSphereMesh(MESH_GRAPH_NE))
+    )
 
     timings["server_warm_hit"] = _measure_server_warm_hit()
     return timings

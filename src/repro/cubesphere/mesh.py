@@ -95,65 +95,53 @@ class CubedSphereMesh:
     # ------------------------------------------------------------------
     def _build_nodes(self) -> None:
         ne = self.ne
-        # Corner nodes of every element, as ids into the global unique
-        # node set.  corner order: (ix,iy) -> nodes (i,j),(i+1,j),(i+1,j+1),(i,j+1)
-        all_corners = np.empty((self.nelem, 4, 3), dtype=np.int64)
+        b = 2 * ne + 1
+        # Every lattice node (x, y, z) in [-ne, ne]^3 as one int64 key
+        # ((x+ne)*b + (y+ne))*b + (z+ne): it sorts like the coordinate
+        # rows, so node ids are the rank of the key among unique keys.
+        # Corner order per element: (i,j),(i+1,j),(i+1,j+1),(i,j+1).
+        corner_keys = np.empty((NUM_FACES, ne, ne, 4), dtype=np.int64)
         for face in range(NUM_FACES):
-            nodes = corner_nodes_scaled(face, ne)  # (ne+1, ne+1, 3)
-            ix, iy = np.meshgrid(np.arange(ne), np.arange(ne), indexing="ij")
-            g = self.gids(face, ix.ravel(), iy.ravel())
-            i = ix.ravel()
-            j = iy.ravel()
-            all_corners[g, 0] = nodes[i, j]
-            all_corners[g, 1] = nodes[i + 1, j]
-            all_corners[g, 2] = nodes[i + 1, j + 1]
-            all_corners[g, 3] = nodes[i, j + 1]
-        flat = all_corners.reshape(-1, 3)
-        uniq, inverse = np.unique(flat, axis=0, return_inverse=True)
+            x, y, z = np.moveaxis(corner_nodes_scaled(face, ne) + ne, -1, 0)
+            key = ((x * b + y) * b + z).T  # [j, i]: iy-major like gids
+            corner_keys[face, :, :, 0] = key[:-1, :-1]
+            corner_keys[face, :, :, 1] = key[:-1, 1:]
+            corner_keys[face, :, :, 2] = key[1:, 1:]
+            corner_keys[face, :, :, 3] = key[1:, :-1]
+        uniq, inverse = np.unique(corner_keys.ravel(), return_inverse=True)
         self.nnodes = int(uniq.shape[0])
         #: (nelem, 4) node ids of each element's corners (CCW in face frame).
         self.element_nodes = inverse.reshape(self.nelem, 4)
-        self._node_coords_scaled = uniq
+        xy, z = np.divmod(uniq, b)
+        x, y = np.divmod(xy, b)
+        self._node_coords_scaled = np.stack([x, y, z], axis=1) - ne
 
     def _build_adjacency(self) -> None:
-        # Elements incident to each node.
-        order = np.argsort(self.element_nodes.ravel(), kind="stable")
-        elems_sorted = order // 4
-        node_ids = self.element_nodes.ravel()[order]
-        starts = np.searchsorted(node_ids, np.arange(self.nnodes))
-        ends = np.searchsorted(node_ids, np.arange(self.nnodes), side="right")
-        shared: dict[tuple[int, int], int] = {}
-        for nid in range(self.nnodes):
-            members = elems_sorted[starts[nid] : ends[nid]]
-            m = len(members)
-            for a in range(m):
-                ea = members[a]
-                for b in range(a + 1, m):
-                    eb = members[b]
-                    key = (ea, eb) if ea < eb else (eb, ea)
-                    shared[key] = shared.get(key, 0) + 1
-        edge_pairs = []
-        corner_pairs = []
-        for (ea, eb), cnt in shared.items():
-            if cnt >= 2:
-                edge_pairs.append((ea, eb))
-            else:
-                corner_pairs.append((ea, eb))
-        self.edge_adjacency = self._to_csr(edge_pairs)
-        self.corner_adjacency = self._to_csr(corner_pairs)
+        # Node -> element incidence, grouped by node; the stable sort
+        # keeps each node's elements ascending.
+        flat = self.element_nodes.ravel()
+        elems = np.argsort(flat, kind="stable") // 4
+        count = np.bincount(flat, minlength=self.nnodes)
+        start = np.cumsum(count) - count
+        # A node touches at most 4 elements: pair its slots a < b.
+        keys = []
+        for a, b in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)):
+            s = start[count > b]
+            keys.append(elems[s + a] * self.nelem + elems[s + b])
+        # Shared nodes per element pair: >= 2 is an edge, 1 a corner.
+        pairs, shared = np.unique(np.concatenate(keys), return_counts=True)
+        lo, hi = np.divmod(pairs, self.nelem)
+        edge = shared >= 2
+        self.edge_adjacency = self._to_csr(lo[edge], hi[edge])
+        self.corner_adjacency = self._to_csr(lo[~edge], hi[~edge])
 
-    def _to_csr(self, pairs: list[tuple[int, int]]) -> _Adjacency:
-        if pairs:
-            arr = np.array(pairs, dtype=np.int64)
-            both = np.concatenate([arr, arr[:, ::-1]], axis=0)
-        else:
-            both = np.empty((0, 2), dtype=np.int64)
-        order = np.lexsort((both[:, 1], both[:, 0]))
-        both = both[order]
-        indptr = np.searchsorted(
-            both[:, 0], np.arange(self.nelem + 1), side="left"
-        ).astype(np.int64)
-        return _Adjacency(indptr=indptr, indices=both[:, 1].copy())
+    def _to_csr(self, lo: np.ndarray, hi: np.ndarray) -> _Adjacency:
+        src = np.concatenate([lo, hi])
+        dst = np.concatenate([hi, lo])
+        order = np.argsort(src * self.nelem + dst)
+        indptr = np.zeros(self.nelem + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=self.nelem), out=indptr[1:])
+        return _Adjacency(indptr=indptr, indices=dst[order])
 
     # ------------------------------------------------------------------
     # Queries

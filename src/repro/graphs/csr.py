@@ -370,7 +370,8 @@ def graph_from_edges(
     Args:
         nvertices: Vertex count.
         edges: ``(m, 2)`` int array, each undirected edge once (any
-            endpoint order); self-loops and duplicates are rejected.
+            endpoint order); self-loops, duplicates and endpoints
+            outside ``[0, nvertices)`` are rejected.
         eweights: ``(m,)`` edge weights (default all 1).
         vweights: ``(n,)`` vertex weights (default all 1).
     """
@@ -390,18 +391,22 @@ def graph_from_edges(
             raise ValueError("vweights length mismatch")
     if m and (edges[:, 0] == edges[:, 1]).any():
         raise ValueError("self-loops are not allowed")
+    if m and (edges.min() < 0 or edges.max() >= nvertices):
+        raise ValueError("edge endpoint out of range")
+    # Both checks and the CSR order run on one int64 key per edge.
     lo = np.minimum(edges[:, 0], edges[:, 1])
     hi = np.maximum(edges[:, 0], edges[:, 1])
-    canon = np.stack([lo, hi], axis=1)
-    if m and len(np.unique(canon, axis=0)) != m:
+    canon = np.sort(lo * nvertices + hi)
+    if (canon[1:] == canon[:-1]).any():
         raise ValueError("duplicate edges are not allowed")
     src = np.concatenate([edges[:, 0], edges[:, 1]])
     dst = np.concatenate([edges[:, 1], edges[:, 0]])
     w = np.concatenate([eweights, eweights])
-    order = np.lexsort((dst, src))
-    src, dst, w = src[order], dst[order], w[order]
-    indptr = np.searchsorted(src, np.arange(nvertices + 1)).astype(np.int64)
-    return CSRGraph(indptr=indptr, indices=dst.copy(), eweights=w.copy(), vweights=vweights)
+    order = np.argsort(src * nvertices + dst)
+    dst, w = dst[order], w[order]
+    indptr = np.zeros(nvertices + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=nvertices), out=indptr[1:])
+    return CSRGraph(indptr=indptr, indices=dst, eweights=w, vweights=vweights)
 
 
 def mesh_graph(

@@ -67,6 +67,11 @@ def weighted_edgecut(graph: CSRGraph, partition: Partition) -> int:
     return int(w[(a[u] != a[v])].sum())
 
 
+def _sum_by(labels: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """Exact int64 per-label sums of integer ``values`` (``(n,)``)."""
+    return np.bincount(labels, weights=values, minlength=n).astype(np.int64)
+
+
 @dataclass(frozen=True)
 class CommunicationPattern:
     """Who sends how much to whom, derived from a partition.
@@ -119,32 +124,22 @@ def communication_pattern(
     """
     a = partition.assignment
     nparts = partition.nparts
-    src = np.repeat(np.arange(graph.nvertices), graph.degrees())
-    dst = graph.indices
-    w = graph.eweights
-    cut = a[src] != a[dst]
-    csrc, cdst, cw = src[cut], dst[cut], w[cut]
-    psrc, pdst = a[csrc], a[cdst]
-    # Per-processor send volume.
-    send_points = np.zeros(nparts, dtype=np.int64)
-    np.add.at(send_points, psrc, cw)
+    src = graph.edge_sources()
+    cut = a[src] != a[graph.indices]
+    csrc, cw = src[cut], graph.eweights[cut]
+    psrc, pdst = a[csrc], a[graph.indices[cut]]
+    send_points = _sum_by(psrc, cw, nparts)
     # Pair volumes via flat keys.
-    keys = psrc * nparts + pdst
-    uniq, inv = np.unique(keys, return_inverse=True)
-    sums = np.zeros(len(uniq), dtype=np.int64)
-    np.add.at(sums, inv, cw)
+    uniq, inv = np.unique(psrc * nparts + pdst, return_inverse=True)
+    sums = _sum_by(inv, cw, len(uniq))
     pair_points = {
         (int(k // nparts), int(k % nparts)): int(s) for k, s in zip(uniq, sums)
     }
-    message_counts = np.zeros(nparts, dtype=np.int64)
-    for s, _ in pair_points:
-        message_counts[s] += 1
+    message_counts = np.bincount(uniq // nparts, minlength=nparts)
     # Boundary vertices per part (unit-size METIS volume).
     is_boundary = np.zeros(graph.nvertices, dtype=bool)
     is_boundary[csrc] = True
-    boundary_vertices = np.bincount(
-        a[is_boundary], minlength=nparts
-    ).astype(np.int64)
+    boundary_vertices = np.bincount(a[is_boundary], minlength=nparts)
     return CommunicationPattern(
         nparts=nparts,
         send_points=send_points,
@@ -201,20 +196,27 @@ def evaluate_partition(
     partition.validate(allow_empty=True)
     sizes = partition.part_sizes()
     weights = partition.part_weights(graph.vweights)
-    comm = communication_pattern(graph, partition)
-    u, v, w = graph.edge_array()
     a = partition.assignment
-    cutmask = a[u] != a[v]
+    src = graph.edge_sources()
+    dst = graph.indices
+    w = graph.eweights
+    cut = a[src] != a[dst]
+    csrc = src[cut]
+    spcv = _sum_by(a[csrc], w[cut], partition.nparts)
+    is_boundary = np.zeros(graph.nvertices, dtype=bool)
+    is_boundary[csrc] = True
+    # Each undirected edge once: the directed copy with src < dst.
+    cut &= src < dst
     return PartitionQuality(
         method=partition.method,
         nparts=partition.nparts,
         lb_nelemd=load_balance(sizes),
         lb_weight=load_balance(weights),
-        lb_spcv=load_balance(comm.send_points),
-        edgecut=int(cutmask.sum()),
-        weighted_edgecut=int(w[cutmask].sum()),
-        total_volume_points=comm.total_points(),
-        boundary_vertices=int(comm.boundary_vertices.sum()),
+        lb_spcv=load_balance(spcv),
+        edgecut=int(cut.sum()),
+        weighted_edgecut=int(w[cut].sum()),
+        total_volume_points=int(spcv.sum()),
+        boundary_vertices=int(is_boundary.sum()),
         nelemd=sizes,
-        spcv=comm.send_points,
+        spcv=spcv,
     )

@@ -47,6 +47,7 @@ from .base import Partition
 __all__ = [
     "CapabilityError",
     "DuplicatePartitionerError",
+    "MAX_ELEMENTS",
     "PartitionProblem",
     "Partitioner",
     "UnknownPartitionerError",
@@ -112,6 +113,11 @@ class DuplicatePartitionerError(ValueError):
 
 class CapabilityError(ValueError):
     """The problem violates the partitioner's capability contract."""
+
+
+#: Largest admissible mesh, ``K = 6 ne^2`` elements (ne = 1024): one
+#: request past it could exhaust a worker's memory.
+MAX_ELEMENTS = 6 * 1024**2
 
 
 @dataclass(frozen=True)
@@ -216,12 +222,17 @@ class Partitioner:
         """
         if ne < 1:
             raise CapabilityError(f"ne must be >= 1, got {ne}")
+        k = 6 * int(ne) ** 2
+        if k > MAX_ELEMENTS:
+            raise CapabilityError(
+                f"ne={ne} gives K={k} elements, over the limit of "
+                f"{MAX_ELEMENTS} (ne <= 1024)"
+            )
         if self.check_ne is not None and not self.check_ne(ne):
             raise CapabilityError(
                 f"method {self.name!r} requires {self.ne_constraint}; "
                 f"ne={ne} is not admissible"
             )
-        k = 6 * ne * ne
         if not 1 <= nparts <= k:
             raise CapabilityError(
                 f"nparts must be in [1, K={k}] for method {self.name!r}, "

@@ -189,6 +189,12 @@ def _pool_compute(item: tuple[PartitionRequest, bool, dict | None]):
         _release_free_heap()
 
 
+try:
+    _MALLOC_TRIM = ctypes.CDLL(None).malloc_trim
+except (AttributeError, OSError, TypeError):
+    _MALLOC_TRIM = None  # not glibc: nothing to trim
+
+
 def _release_free_heap() -> None:
     """Hand a pool worker's freed heap pages back to the OS (glibc only).
 
@@ -198,10 +204,8 @@ def _release_free_heap() -> None:
     worker at ~130 or ~220 MiB resident from run to run; trimming after
     every task makes the resident size follow the live data.
     """
-    try:
-        ctypes.CDLL(None).malloc_trim(0)
-    except (AttributeError, OSError, TypeError):
-        pass  # not glibc: nothing to trim
+    if _MALLOC_TRIM is not None:
+        _MALLOC_TRIM(0)
 
 
 def _record_response_metrics(response: PartitionResponse) -> None:

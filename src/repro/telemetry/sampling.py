@@ -19,6 +19,7 @@ at all when no sampler is running.
 
 from __future__ import annotations
 
+import gc
 import sys
 import threading
 from collections import Counter
@@ -30,6 +31,25 @@ __all__ = ["StackSampler", "sample_stacks", "collapse_stacks"]
 MAX_SECONDS = 60.0
 #: Default tick: 5 ms ~ 200 Hz, cheap enough for a live server.
 DEFAULT_INTERVAL = 0.005
+
+
+def _current_frames() -> dict:
+    """``sys._current_frames()`` with automatic garbage collection paused.
+
+    Before Python 3.12 the call builds its dict while holding the
+    interpreter's thread-list lock.  A collection triggered by that
+    allocation runs finalizers on this thread, such as a collected
+    ``ProcessPoolExecutor``'s wakeup write, which release the GIL.  A
+    thread exiting meanwhile takes the GIL and then waits on that lock
+    for good, and the process deadlocks (CPython gh-106883).
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return sys._current_frames()
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _frame_stack(frame, limit: int = 128) -> tuple[str, ...]:
@@ -72,7 +92,7 @@ class StackSampler:
         own = threading.get_ident()
         t0 = perf_counter()
         while not self._stop.is_set():
-            for tid, frame in sys._current_frames().items():
+            for tid, frame in _current_frames().items():
                 if tid == own:
                     continue
                 self.counts[_frame_stack(frame)] += 1

@@ -45,6 +45,12 @@ class TestConstruction:
         with pytest.raises(ValueError, match="duplicate"):
             graph_from_edges(3, np.array([(0, 1), (1, 0)]))
 
+    def test_out_of_range_endpoint_rejected(self):
+        # (0, 5) and (1, 2) would share the key lo * n + hi = 5.
+        for edges in ([(0, 5), (1, 2)], [(-1, 2)]):
+            with pytest.raises(ValueError, match="out of range"):
+                graph_from_edges(3, np.array(edges))
+
     def test_weight_length_mismatch(self):
         with pytest.raises(ValueError, match="eweights"):
             graph_from_edges(3, TRIANGLE, eweights=[1])

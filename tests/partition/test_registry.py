@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.partition.registry import (
+    MAX_ELEMENTS,
     CapabilityError,
     DuplicatePartitionerError,
     Partitioner,
@@ -126,6 +127,16 @@ class TestCapabilities:
             get("block").validate(ne=4, nparts=k + 1)
         with pytest.raises(CapabilityError, match="nparts"):
             get("block").validate(ne=4, nparts=0)
+
+    def test_mesh_size_is_bounded(self):
+        # ne=1024 (K = 6 * 1024^2) is the largest admissible mesh.
+        assert MAX_ELEMENTS == 6 * 1024**2
+        get("sfc").validate(ne=1024, nparts=4)
+        for method, ne in (("sfc", 131072), ("sfc", 1536), ("block", 1025)):
+            with pytest.raises(CapabilityError, match=str(MAX_ELEMENTS)):
+                get(method).validate(ne=ne, nparts=4)
+        with pytest.raises(CapabilityError, match="limit"):
+            get("sfc").validate(ne=np.int64(2**40), nparts=4)
 
     def test_ne_must_be_positive(self):
         with pytest.raises(CapabilityError, match="ne"):

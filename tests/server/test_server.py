@@ -187,6 +187,23 @@ class TestValidationErrors:
 
         run(inner())
 
+    def test_oversized_mesh_is_422_with_limit(self):
+        from repro.partition.registry import MAX_ELEMENTS
+
+        async def inner():
+            async with PartitionServer() as server:
+                conn = await Connection.open(*server.address)
+                # K = 6 * 131072^2 ~ 1.0e11 elements: rejected before
+                # any worker builds a mesh.
+                resp = await conn.post_json(
+                    "/partition", {"ne": 131072, "nparts": 4, "method": "sfc"}
+                )
+                assert resp.status == 422
+                assert str(MAX_ELEMENTS) in resp.json()["error"]["message"]
+                await conn.close()
+
+        run(inner())
+
     def test_morton_is_servable_but_discontinuity_is_422(self):
         async def inner():
             async with PartitionServer(PartitionEngine()) as server:

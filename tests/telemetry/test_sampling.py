@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+import sys
 import time
 
 import pytest
@@ -42,6 +44,23 @@ class TestStackSampler:
             sample_stacks(-1.0)
         with pytest.raises(ValueError):
             sample_stacks(MAX_SECONDS + 1)
+
+    def test_frames_are_read_with_gc_paused(self, monkeypatch):
+        # A collection inside sys._current_frames() can deadlock the
+        # process on CPython < 3.12 (gh-106883); the sampler pauses it.
+        seen = []
+        real = sys._current_frames
+
+        def spy():
+            seen.append(gc.isenabled())
+            return real()
+
+        monkeypatch.setattr(sys, "_current_frames", spy)
+        assert gc.isenabled()
+        with StackSampler(interval=0.002):
+            time.sleep(0.02)
+        assert seen and not any(seen)
+        assert gc.isenabled()
 
     def test_stop_is_idempotent(self):
         sampler = StackSampler(interval=0.002)
