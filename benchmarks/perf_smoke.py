@@ -3,8 +3,9 @@
 
 Times the kernelized hot paths at K=96 — the three METIS partitioners,
 the SFC partitioner, the halo-schedule build, a partitioned DSS apply,
-the fused DSS apply, a shallow-water RK3 step, and the batched
-geometry build — plus a fresh mesh + element graph at K=6144, and
+the fused DSS apply, a shallow-water RK3 step, the batched geometry
+build and a served warm hit — plus a fresh mesh + element graph at
+K=6144 and a served warm hit at K=24576, and
 compares each against the committed baseline
 (``benchmarks/perf_baseline.json``).  Any timing more than ``--tolerance``
 times its baseline (default 3x, loose enough for machine-to-machine
@@ -35,6 +36,8 @@ sys.path.insert(0, str(HERE.parent / "src"))
 NE = 4  # K = 6 * NE^2 = 96 elements
 NPARTS = 48
 MESH_GRAPH_NE = 32  # the mesh_graph_build metric's size (K = 6144)
+WARM_HIT_LARGE_NE = 64  # server_warm_hit_k24576: K = 24576 ...
+WARM_HIT_LARGE_NPARTS = 96  # ... in 96 parts
 BASELINE_PATH = HERE / "perf_baseline.json"
 RESULTS_PATH = HERE / "results" / "perf_smoke.json"
 
@@ -146,28 +149,32 @@ def measure() -> dict[str, float]:
     )
 
     timings["server_warm_hit"] = _measure_server_warm_hit()
+    timings["server_warm_hit_k24576"] = _measure_server_warm_hit(
+        WARM_HIT_LARGE_NE, WARM_HIT_LARGE_NPARTS
+    )
     return timings
 
 
-def _measure_server_warm_hit() -> float:
+def _measure_server_warm_hit(ne: int = NE, nparts: int = NPARTS) -> float:
     """Warm-cache request latency through the HTTP serving path.
 
     One keep-alive client against an in-process server on an ephemeral
     port, repeating a cached ``POST /partition``: parse + route + cache
-    hit + serialize, never touching the worker pool.  Guards the
-    event-loop side of the server against regressions the engine-level
-    benches can't see.
+    hit + write of the pre-encoded body, never touching the worker
+    pool.  The client does not decode the body.  Guards the event-loop
+    side of the server against regressions the engine-level benches
+    can't see; at K=24576 the body is ~0.1 MB, so an encode that runs
+    again on every hit shows.
     """
     import asyncio
 
     from repro.server import Connection, PartitionServer
-    from repro.service import PartitionEngine
 
     async def run() -> float:
-        async with PartitionServer(PartitionEngine()) as server:
+        async with PartitionServer() as server:
             host, port = server.address
             async with await Connection.open(host, port) as conn:
-                payload = {"ne": NE, "nparts": NPARTS}
+                payload = {"ne": ne, "nparts": nparts}
                 first = await conn.post_json("/partition", payload)
                 assert first.status == 200  # compute once, cache it
                 inner = 50
@@ -243,11 +250,10 @@ def _count_log_events_per_warm_request() -> float:
     import asyncio
 
     from repro.server import Connection, PartitionServer
-    from repro.service import PartitionEngine
     from repro.telemetry.logs import capture_records
 
     async def run() -> float:
-        async with PartitionServer(PartitionEngine()) as server:
+        async with PartitionServer() as server:
             host, port = server.address
             async with await Connection.open(host, port) as conn:
                 payload = {"ne": NE, "nparts": NPARTS}

@@ -21,6 +21,7 @@
 * ``GET /metrics`` — Prometheus text exposition of the active
   telemetry session's registry.
 * ``GET /debug/vars`` — live internals: build info, cache hit rates,
+  bytes and evictions (responses and repartition plans),
   pool/coalescing depth, geometry-cache counters, SLO windows.
 * ``GET /debug/requests`` — ring buffer of the last N requests
   (status, latency, source, trace id).
@@ -40,6 +41,9 @@ Serving mechanics, in request order:
 
 1. **Cache lookups run on the event loop** — a warm hit never touches
    the worker pool, so cached latency is independent of pool load.
+   A memory hit writes its entry's pre-encoded body head plus a short
+   spliced tail of per-request fields
+   (:meth:`~repro.service.requests.PartitionResponse.encode`).
 2. **Request coalescing**: concurrent requests with the same content
    hash share one in-flight compute through ``_inflight`` (an async
    future map).  Joiners await an ``asyncio.shield`` of the shared
@@ -412,7 +416,14 @@ class PartitionServer:
                     "server_requests_total",
                     status=str(status), partitioner=partitioner,
                 )
-                observe("server_request_seconds", elapsed)
+                observe(
+                    "server_request_seconds", elapsed,
+                    route=(
+                        request.path if request.path in KNOWN_ROUTES
+                        else "other"
+                    ),
+                    source=source or "none",
+                )
                 self.slo.record(status, elapsed)
                 ms = round(1e3 * elapsed, 3)
                 self._recent.append(
@@ -503,20 +514,12 @@ class PartitionServer:
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise HTTPError(400, "bad_json", f"request body is not valid JSON: {exc}")
 
-    def _stamp_identity(self, data: dict) -> dict:
-        """Add the request/trace ids to an outgoing JSON body."""
-        ctx = current_context()
-        if ctx is not None:
-            data["request_id"] = ctx.request_id
-            data["trace_id"] = ctx.trace_id
-        return data
-
     async def _serve_partition(self, request: HTTPRequest) -> _Result:
         preq = self._parse_partition_request(self._decode_json(request.body))
         response = await self._resolve(preq, self.engine.cache, self._record)
         return _Result(
             200,
-            json_body(self._stamp_identity(response.to_dict())),
+            response.encode(current_context()),
             partitioner=preq.method,
             source=response.source,
         )
@@ -528,7 +531,7 @@ class PartitionServer:
         )
         return _Result(
             200,
-            json_body(self._stamp_identity(response.to_dict())),
+            response.encode(current_context()),
             partitioner=rreq.method,
             source=response.source,
         )
@@ -549,26 +552,31 @@ class PartitionServer:
                 f"batch of {len(data)} exceeds the {MAX_BATCH_ITEMS} limit",
             )
 
-        async def one(item: object) -> dict:
+        async def one(item: object) -> bytes:
             try:
                 response = await self._resolve(
                     self._parse_partition_request(item),
                     self.engine.cache, self._record,
                 )
-                return response.to_dict()
+                return response.encode()
             except HTTPError as exc:
-                return json.loads(error_body(exc))
+                return error_body(exc)
 
-        responses = await asyncio.gather(*(one(item) for item in data))
-        return _Result(
-            200,
-            json_body(
-                self._stamp_identity(
-                    {"schema": 1, "responses": list(responses)}
-                )
-            ),
-            source="batch",
-        )
+        items = b", ".join(await asyncio.gather(*(one(item) for item in data)))
+        # Sorted-key JSON of {"responses": [...], "schema": 1} plus the
+        # ids, spliced around the already-encoded items.
+        ctx = current_context()
+        if ctx is None:
+            body = b'{"responses": [%s], "schema": 1}' % items
+        else:
+            body = (
+                b'{"request_id": %s, "responses": [%s], "schema": 1, '
+                b'"trace_id": %s}'
+            ) % (
+                json.dumps(ctx.request_id).encode(), items,
+                json.dumps(ctx.trace_id).encode(),
+            )
+        return _Result(200, body, source="batch")
 
     def _serve_healthz(self) -> _Result:
         health = self.slo.health()
@@ -654,6 +662,7 @@ class PartitionServer:
             },
             "engine": self.engine.stats.summary(),
             "cache": self.engine.cache.stats(),
+            "repartition_cache": self._plans.stats(),
             "geometry_cache": geometry_cache_stats(),
             "dss_memo": dss_memo_stats(),
             "slo": self.slo.health(),

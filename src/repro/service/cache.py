@@ -9,7 +9,10 @@ weighted, unweighted, and differently-weighted requests can never
 collide, with no cache-layer special-casing.  Two tiers:
 
 * an in-memory LRU (bounded by ``capacity`` responses) that makes
-  repeated requests inside one process near-free;
+  repeated requests inside one process near-free.  An entry also holds
+  its encoded wire head once it has been served as a memory hit
+  (:meth:`PartitionResponse.encode`), so later hits skip the JSON
+  encode; eviction drops the bytes with the entry;
 * an optional on-disk store (one ``<key>.npz`` per entry holding the
   assignment array plus the response JSON metadata) so repeated CLI or
   benchmark invocations skip partitioning entirely.
@@ -77,9 +80,9 @@ def scan_cache_dir(cache_dir: Path | str) -> dict[str, int | str]:
 class PartitionCache:
     """Two-tier (memory LRU + disk) content-addressed response cache.
 
-    The memory tier only needs ``request.cache_key()`` and
-    ``response.with_source()``, so the server also keeps repartition
-    plans in a memory-only instance.
+    The memory tier only needs ``request.cache_key()``,
+    ``response.with_source()`` and ``response.nbytes``, so the server
+    also keeps repartition plans in a memory-only instance.
 
     Args:
         capacity: Maximum responses held in memory (LRU eviction).
@@ -155,6 +158,11 @@ class PartitionCache:
         return self.hits / total if total else 0.0
 
     def stats(self) -> dict[str, float | int]:
+        """Counters, plus the memory tier's entries, evictions and bytes.
+
+        ``memory_bytes`` sums each memory entry's arrays and its kept
+        encoded head.
+        """
         return {
             "memory_hits": self.memory_hits,
             "disk_hits": self.disk_hits,
@@ -163,6 +171,8 @@ class PartitionCache:
             "stores": self.stores,
             "hit_rate": self.hit_rate,
             "memory_entries": len(self._memory),
+            "evictions": self._memory.evictions,
+            "memory_bytes": sum(r.nbytes for _, r in self._memory.items()),
         }
 
     # -- internals ------------------------------------------------------

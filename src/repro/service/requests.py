@@ -12,18 +12,25 @@ dense assignment vector, the full Table-2 metric set (scalars of
 :class:`~repro.partition.metrics.PartitionQuality`), the compute time,
 and where the answer came from (``computed`` / ``memory`` / ``disk``).
 Both types round-trip through JSON so batch files and on-disk cache
-entries share one serialization.
+entries share one serialization, and both encode their wire body
+through :meth:`PartitionResponse.encode`, which builds the invariant
+part of a memory-cached answer once and reuses it on every later hit.
 """
 
 from __future__ import annotations
 
+import copy
 import csv
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from ..telemetry import RequestContext
 
 __all__ = [
     "METRIC_FIELDS",
@@ -223,6 +230,67 @@ class WeightSpec:
         return hash(_sha256_json(self.canonical()))
 
 
+class _EncodedResponse:
+    """Wire encoding shared by both response types.
+
+    A body is sorted-key JSON.  The fields that change per request
+    (``request_id``, ``schema``, ``source``, ``trace_id``) all sort
+    after the last invariant field (``request``), so a body is an
+    invariant *head* — the JSON of :meth:`_invariant` without its
+    closing brace — plus a short spliced *tail*.  A ``"memory"`` answer
+    keeps its head in ``_memo``, a one-slot holder that
+    :meth:`with_source` copies share with the cached entry, so an
+    entry's head is built on its first memory hit and reused by every
+    later one.  Other answers are encoded the same way but keep nothing.
+    """
+
+    def _invariant(self) -> dict:
+        raise NotImplementedError
+
+    def _arrays(self) -> tuple[np.ndarray, ...]:
+        raise NotImplementedError
+
+    def to_dict(self) -> dict:
+        """JSON-ready plain-dict form (shared by files and the server)."""
+        return {"schema": 1, **self._invariant(), "source": self.source}
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True)
+
+    def with_source(self, source: str):
+        """A shallow copy with ``source`` set, sharing the encoded head."""
+        out = copy.copy(self)
+        object.__setattr__(out, "source", source)
+        return out
+
+    def encode(self, ctx: RequestContext | None = None) -> bytes:
+        """The wire body: :meth:`to_dict` plus the ids of ``ctx``.
+
+        Byte-identical to ``json.dumps(body, sort_keys=True)`` where
+        ``body`` is :meth:`to_dict` with ``ctx.request_id`` and
+        ``ctx.trace_id`` added; ``ctx=None`` leaves the ids out.
+        """
+        head = self._memo[0]
+        if head is None:
+            head = json.dumps(self._invariant(), sort_keys=True)[:-1].encode()
+            if self.source == "memory":
+                self._memo[0] = head
+        source = json.dumps(self.source)
+        if ctx is None:
+            tail = f', "schema": 1, "source": {source}}}'
+        else:
+            tail = (
+                f', "request_id": {json.dumps(ctx.request_id)}, "schema": 1, '
+                f'"source": {source}, "trace_id": {json.dumps(ctx.trace_id)}}}'
+            )
+        return head + tail.encode()
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the answer's arrays and its kept head."""
+        return sum(a.nbytes for a in self._arrays()) + len(self._memo[0] or b"")
+
+
 @dataclass(frozen=True)
 class PartitionRequest:
     """One partitioning problem, in canonical form.
@@ -344,7 +412,7 @@ class PartitionRequest:
 
 
 @dataclass(frozen=True)
-class PartitionResponse:
+class PartitionResponse(_EncodedResponse):
     """The service's answer to one :class:`PartitionRequest`.
 
     Attributes:
@@ -365,6 +433,9 @@ class PartitionResponse:
     metrics: dict[str, float | int]
     elapsed_s: float = 0.0
     source: str = "computed"
+    _memo: list = field(
+        default_factory=lambda: [None], init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.assignment, dtype=np.int64)
@@ -388,22 +459,16 @@ class PartitionResponse:
             self.assignment, nparts=self.request.nparts, method=self.request.method
         )
 
-    def with_source(self, source: str) -> "PartitionResponse":
-        return replace(self, source=source)
-
-    def to_dict(self) -> dict:
-        """JSON-ready plain-dict form (shared by files and the server)."""
+    def _invariant(self) -> dict:
         return {
-            "schema": 1,
             "request": self.request.to_wire(),
             "assignment": self.assignment.tolist(),
             "metrics": self.metrics,
             "elapsed_s": self.elapsed_s,
-            "source": self.source,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+    def _arrays(self) -> tuple[np.ndarray, ...]:
+        return (self.assignment,)
 
     @classmethod
     def from_json(cls, text: str) -> "PartitionResponse":
@@ -570,7 +635,7 @@ class RepartitionRequest:
 
 
 @dataclass(frozen=True)
-class RepartitionResponse:
+class RepartitionResponse(_EncodedResponse):
     """The service's answer to one :class:`RepartitionRequest`.
 
     Attributes:
@@ -586,22 +651,19 @@ class RepartitionResponse:
     plan: object = field(repr=False)
     elapsed_s: float = 0.0
     source: str = "computed"
+    _memo: list = field(
+        default_factory=lambda: [None], init=False, repr=False, compare=False
+    )
 
-    def with_source(self, source: str) -> "RepartitionResponse":
-        return replace(self, source=source)
-
-    def to_dict(self) -> dict:
-        """JSON-ready plain-dict form (shared by files and the server)."""
+    def _invariant(self) -> dict:
         return {
-            "schema": 1,
             "request": self.request.to_wire(),
             "plan": self.plan.to_dict(include_assignment=True),
             "elapsed_s": self.elapsed_s,
-            "source": self.source,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+    def _arrays(self) -> tuple[np.ndarray, ...]:
+        return (self.plan.new_assignment, *self.plan.moves.values())
 
     @classmethod
     def from_json(cls, text: str) -> "RepartitionResponse":

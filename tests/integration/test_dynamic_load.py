@@ -83,7 +83,7 @@ class TestStormTrajectory:
         """One trajectory step through ``POST /repartition``: the wire
         plan matches the in-process planner bit for bit at Ne=64."""
         from repro.server import Connection, PartitionServer
-        from repro.service import PartitionEngine, RepartitionRequest
+        from repro.service import RepartitionRequest
 
         step = 10
         old = LoadTracker(NE, nparts=NPARTS)
@@ -97,7 +97,7 @@ class TestStormTrajectory:
         )
 
         async def inner():
-            async with PartitionServer(PartitionEngine()) as server:
+            async with PartitionServer() as server:
                 host, port = server.address
                 async with await Connection.open(host, port) as conn:
                     resp = await conn.repartition(RepartitionRequest(

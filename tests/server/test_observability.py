@@ -11,11 +11,11 @@ from __future__ import annotations
 import asyncio
 import json
 import os
+import re
 import subprocess
 import sys
 
 from repro.server import Connection, PartitionServer, fetch
-from repro.service import PartitionEngine, PartitionRequest
 from repro.telemetry import (
     RequestContext,
     add_sink,
@@ -35,7 +35,7 @@ def run(coro, timeout: float = 60.0):
 class TestRequestIdentity:
     def test_every_response_carries_identity_headers(self):
         async def inner():
-            async with PartitionServer(PartitionEngine()) as server:
+            async with PartitionServer() as server:
                 host, port = server.address
                 resp = await fetch(host, port, "GET", "/healthz")
                 rid = resp.headers["x-request-id"]
@@ -50,7 +50,7 @@ class TestRequestIdentity:
 
     def test_traceparent_header_continues_callers_trace(self):
         async def inner():
-            async with PartitionServer(PartitionEngine()) as server:
+            async with PartitionServer() as server:
                 host, port = server.address
                 async with await Connection.open(host, port) as conn:
                     resp = await conn.request(
@@ -71,7 +71,7 @@ class TestRequestIdentity:
 
     def test_malformed_traceparent_starts_a_fresh_trace(self):
         async def inner():
-            async with PartitionServer(PartitionEngine()) as server:
+            async with PartitionServer() as server:
                 host, port = server.address
                 async with await Connection.open(host, port) as conn:
                     resp = await conn.request(
@@ -89,7 +89,7 @@ class TestRequestIdentity:
 
     def test_error_responses_carry_identity_too(self):
         async def inner():
-            async with PartitionServer(PartitionEngine()) as server:
+            async with PartitionServer() as server:
                 host, port = server.address
                 resp = await fetch(host, port, "GET", "/nope")
                 assert resp.status == 404
@@ -101,10 +101,62 @@ class TestRequestIdentity:
         run(inner())
 
 
+def latency_counts(text: str) -> dict[tuple[str, str], float]:
+    """``server_request_seconds`` sample counts by ``(route, source)``."""
+    counts = {}
+    for labels, value in re.findall(
+        r"^server_request_seconds_count\{([^}]*)\} (\S+)$", text, re.M
+    ):
+        lab = dict(re.findall(r'(\w+)="([^"]*)"', labels))
+        counts[(lab["route"], lab["source"])] = float(value)
+    return counts
+
+
+class TestLatencyHistogram:
+    def test_hit_and_compute_land_in_different_series(self):
+        async def inner():
+            async with PartitionServer() as server:
+                async with await Connection.open(*server.address) as conn:
+                    for _ in range(3):
+                        await conn.post_json("/partition", {"ne": 2, "nparts": 4})
+                    await conn.request("GET", "/nope")
+                    await conn.request("GET", "/healthz")
+                    text = (await conn.request("GET", "/metrics")).body.decode()
+            counts = latency_counts(text)
+            assert counts[("/partition", "computed")] == 1
+            assert counts[("/partition", "memory")] == 2
+            # Unknown paths share one label value, so the set stays bounded.
+            assert counts[("other", "none")] == 1
+            assert counts[("/healthz", "none")] == 1
+
+        with telemetry_session():
+            run(inner())
+
+
 class TestDebugEndpoints:
+    def test_debug_vars_reports_cache_bytes_and_evictions(self):
+        body = json.dumps({"ne": 2, "nparts": 4}).encode()
+
+        async def inner():
+            async with PartitionServer() as server:
+                host, port = server.address
+                await fetch(host, port, "POST", "/partition", body)
+                before = (await fetch(host, port, "GET", "/debug/vars")).json()
+                await fetch(host, port, "POST", "/partition", body)
+                after = (await fetch(host, port, "GET", "/debug/vars")).json()
+            return before, after
+
+        before, after = run(inner())
+        assert before["cache"]["evictions"] == 0
+        assert before["cache"]["memory_bytes"] == 24 * 8  # the assignment
+        # The first memory hit keeps the body's encoded head.
+        assert after["cache"]["memory_bytes"] > before["cache"]["memory_bytes"]
+        assert after["repartition_cache"]["memory_entries"] == 0
+        assert after["repartition_cache"]["memory_bytes"] == 0
+
     def test_debug_vars_reports_live_internals(self):
         async def inner():
-            async with PartitionServer(PartitionEngine()) as server:
+            async with PartitionServer() as server:
                 host, port = server.address
                 await fetch(
                     host, port, "POST", "/partition",
@@ -127,7 +179,7 @@ class TestDebugEndpoints:
 
     def test_debug_requests_ring_buffer(self):
         async def inner():
-            async with PartitionServer(PartitionEngine()) as server:
+            async with PartitionServer() as server:
                 host, port = server.address
                 async with await Connection.open(host, port) as conn:
                     resp = await conn.post_json(
@@ -159,7 +211,7 @@ class TestDebugEndpoints:
 
     def test_debug_profile_returns_collapsed_stacks(self):
         async def inner():
-            async with PartitionServer(PartitionEngine()) as server:
+            async with PartitionServer() as server:
                 host, port = server.address
                 resp = await fetch(
                     host, port, "GET", "/debug/profile?seconds=0.05"
@@ -175,7 +227,7 @@ class TestDebugEndpoints:
 
     def test_debug_profile_validates_seconds(self):
         async def inner():
-            async with PartitionServer(PartitionEngine()) as server:
+            async with PartitionServer() as server:
                 host, port = server.address
                 for query in ("seconds=0", "seconds=-1", "seconds=1e9",
                               "seconds=junk"):
@@ -188,7 +240,7 @@ class TestDebugEndpoints:
 
     def test_debug_routes_reject_post(self):
         async def inner():
-            async with PartitionServer(PartitionEngine()) as server:
+            async with PartitionServer() as server:
                 host, port = server.address
                 resp = await fetch(
                     host, port, "POST", "/debug/vars", b"{}"
@@ -201,7 +253,7 @@ class TestDebugEndpoints:
 class TestHealthzSLO:
     def test_healthz_carries_the_slo_verdict(self):
         async def inner():
-            async with PartitionServer(PartitionEngine()) as server:
+            async with PartitionServer() as server:
                 host, port = server.address
                 await fetch(host, port, "GET", "/healthz")
                 health = (await fetch(host, port, "GET", "/healthz")).json()
@@ -220,7 +272,7 @@ class TestAccessLog:
         log_path = tmp_path / "access.jsonl"
 
         async def inner():
-            async with PartitionServer(PartitionEngine()) as server:
+            async with PartitionServer() as server:
                 host, port = server.address
                 async with await Connection.open(host, port) as conn:
                     first = await conn.post_json(
@@ -258,7 +310,7 @@ class TestTraceContinuity:
         """Computed path: worker-process spans share the request trace."""
         with telemetry_session(command="test") as session:
             async def inner():
-                async with PartitionServer(PartitionEngine()) as server:
+                async with PartitionServer() as server:
                     host, port = server.address
                     async with await Connection.open(host, port) as conn:
                         resp = await conn.request(

@@ -50,7 +50,7 @@ class TestPlanParity:
         )
 
         async def inner():
-            async with PartitionServer(PartitionEngine()) as server:
+            async with PartitionServer() as server:
                 host, port = server.address
                 async with await Connection.open(host, port) as conn:
                     resp = await conn.repartition(rreq)
@@ -80,7 +80,7 @@ class TestPlanParity:
         }
 
         async def inner():
-            async with PartitionServer(PartitionEngine()) as server:
+            async with PartitionServer() as server:
                 host, port = server.address
                 async with await Connection.open(host, port) as conn:
                     resp = await conn.post_json("/repartition", body)
@@ -94,7 +94,7 @@ class TestPlanParity:
 class TestCachingAndCoalescing:
     def test_repeat_served_from_plan_lru(self):
         async def inner():
-            async with PartitionServer(PartitionEngine()) as server:
+            async with PartitionServer() as server:
                 host, port = server.address
                 async with await Connection.open(host, port) as conn:
                     first = (await conn.repartition(storm_request())).json()
@@ -107,7 +107,7 @@ class TestCachingAndCoalescing:
 
     def test_different_steps_not_conflated(self):
         async def inner():
-            async with PartitionServer(PartitionEngine()) as server:
+            async with PartitionServer() as server:
                 host, port = server.address
                 async with await Connection.open(host, port) as conn:
                     a = (await conn.repartition(storm_request(step=1))).json()
@@ -122,7 +122,7 @@ class TestCachingAndCoalescing:
         ``computed`` answer, the rest ``coalesced``/``memory``."""
 
         async def inner():
-            async with PartitionServer(PartitionEngine()) as server:
+            async with PartitionServer() as server:
                 host, port = server.address
 
                 async def one():
@@ -141,7 +141,7 @@ class TestCachingAndCoalescing:
 
 class TestValidation:
     async def _post(self, body: dict) -> tuple[int, dict]:
-        async with PartitionServer(PartitionEngine()) as server:
+        async with PartitionServer() as server:
             host, port = server.address
             async with await Connection.open(host, port) as conn:
                 resp = await conn.post_json("/repartition", body)
@@ -209,7 +209,7 @@ class TestValidation:
 
     def test_404_hint_lists_repartition(self):
         async def inner():
-            async with PartitionServer(PartitionEngine()) as server:
+            async with PartitionServer() as server:
                 host, port = server.address
                 resp = await fetch(host, port, "GET", "/nope")
                 assert resp.status == 404
@@ -221,7 +221,7 @@ class TestValidation:
 class TestObservability:
     def test_identity_headers_and_trace_continuation(self):
         async def inner():
-            async with PartitionServer(PartitionEngine()) as server:
+            async with PartitionServer() as server:
                 host, port = server.address
                 async with await Connection.open(host, port) as conn:
                     resp = await conn.request(
@@ -244,7 +244,7 @@ class TestObservability:
 
     def test_metrics_families_recorded(self):
         async def inner():
-            async with PartitionServer(PartitionEngine()) as server:
+            async with PartitionServer() as server:
                 host, port = server.address
                 async with await Connection.open(host, port) as conn:
                     await conn.repartition(storm_request())
@@ -263,18 +263,18 @@ class TestObservability:
         """RepartitionResponses flow through the shared ServiceStats."""
         with telemetry_session():
             async def inner():
-                engine = PartitionEngine()
-                async with PartitionServer(engine) as server:
-                    host, port = server.address
-                    async with await Connection.open(host, port) as conn:
-                        await conn.repartition(storm_request())
-                    return engine.stats.total_requests
+                with PartitionEngine() as engine:
+                    async with PartitionServer(engine) as server:
+                        host, port = server.address
+                        async with await Connection.open(host, port) as conn:
+                            await conn.repartition(storm_request())
+                        return engine.stats.total_requests
 
             assert run(inner()) == 1
 
     def test_debug_requests_ring_sees_repartition(self):
         async def inner():
-            async with PartitionServer(PartitionEngine()) as server:
+            async with PartitionServer() as server:
                 host, port = server.address
                 async with await Connection.open(host, port) as conn:
                     await conn.repartition(storm_request())
@@ -289,7 +289,7 @@ class TestObservability:
 
     def test_methods_lists_scenarios(self):
         async def inner():
-            async with PartitionServer(PartitionEngine()) as server:
+            async with PartitionServer() as server:
                 host, port = server.address
                 resp = await fetch(host, port, "GET", "/methods")
                 return resp.json()

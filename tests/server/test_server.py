@@ -65,7 +65,7 @@ async def wait_for_inflight(host: str, port: int, value: int, timeout: float = 1
 class TestRoutes:
     def test_partition_healthz_methods_metrics(self):
         async def inner():
-            async with PartitionServer(PartitionEngine()) as server:
+            async with PartitionServer() as server:
                 host, port = server.address
                 async with await Connection.open(host, port) as conn:
                     resp = await conn.post_json(
@@ -103,7 +103,7 @@ class TestRoutes:
 
     def test_batch_mixed_valid_and_invalid(self):
         async def inner():
-            async with PartitionServer(PartitionEngine()) as server:
+            async with PartitionServer() as server:
                 resp = await (
                     await Connection.open(*server.address)
                 ).post_json(
@@ -128,7 +128,7 @@ class TestRoutes:
 
     def test_unknown_route_and_method(self):
         async def inner():
-            async with PartitionServer(PartitionEngine()) as server:
+            async with PartitionServer() as server:
                 host, port = server.address
                 assert (await fetch(host, port, "GET", "/nope")).status == 404
                 assert (await fetch(host, port, "GET", "/partition")).status == 405
@@ -139,7 +139,7 @@ class TestRoutes:
 class TestValidationErrors:
     def test_malformed_json_is_400_with_structured_body(self):
         async def inner():
-            async with PartitionServer(PartitionEngine()) as server:
+            async with PartitionServer() as server:
                 conn = await Connection.open(*server.address)
                 resp = await conn.request(
                     "POST", "/partition", b"this is not json"
@@ -154,7 +154,7 @@ class TestValidationErrors:
 
     def test_unknown_method_is_422_with_did_you_mean(self):
         async def inner():
-            async with PartitionServer(PartitionEngine()) as server:
+            async with PartitionServer() as server:
                 conn = await Connection.open(*server.address)
                 resp = await conn.post_json(
                     "/partition", {"ne": 4, "nparts": 8, "method": "sffc"}
@@ -168,7 +168,7 @@ class TestValidationErrors:
 
     def test_inadmissible_ne_and_capability_violation_are_422(self):
         async def inner():
-            async with PartitionServer(PartitionEngine()) as server:
+            async with PartitionServer() as server:
                 conn = await Connection.open(*server.address)
                 # sfc requires ne = 2^a 3^b: ne=5 is inadmissible.
                 bad_ne = await conn.post_json(
@@ -206,7 +206,7 @@ class TestValidationErrors:
 
     def test_morton_is_servable_but_discontinuity_is_422(self):
         async def inner():
-            async with PartitionServer(PartitionEngine()) as server:
+            async with PartitionServer() as server:
                 conn = await Connection.open(*server.address)
                 ok = await conn.post_json(
                     "/partition", {"ne": 4, "nparts": 8, "method": "morton"}
@@ -239,26 +239,26 @@ class TestValidationErrors:
 class TestCoalescing:
     def test_concurrent_identical_requests_share_one_compute(self, slowstub):
         async def inner():
-            engine = PartitionEngine()
-            async with PartitionServer(engine) as server:
-                host, port = server.address
-                payload = {"ne": 2, "nparts": 4, "method": slowstub}
+            with PartitionEngine() as engine:
+                async with PartitionServer(engine) as server:
+                    host, port = server.address
+                    payload = {"ne": 2, "nparts": 4, "method": slowstub}
 
-                async def one():
-                    async with await Connection.open(host, port) as conn:
-                        return (await conn.post_json("/partition", payload)).json()
+                    async def one():
+                        async with await Connection.open(host, port) as conn:
+                            return (await conn.post_json("/partition", payload)).json()
 
-                results = await asyncio.gather(*(one() for _ in range(5)))
-                sources = sorted(r["source"] for r in results)
-                assert sources == ["coalesced"] * 4 + ["computed"]
-                assert all(
-                    r["assignment"] == results[0]["assignment"] for r in results
-                )
-                metrics = (await fetch(host, port, "GET", "/metrics")).body.decode()
-                assert "server_coalesced_total 4" in metrics
-                # One compute for five requests.
-                assert engine.stats.count("computed") == 1
-                assert engine.stats.count("coalesced") == 4
+                    results = await asyncio.gather(*(one() for _ in range(5)))
+                    sources = sorted(r["source"] for r in results)
+                    assert sources == ["coalesced"] * 4 + ["computed"]
+                    assert all(
+                        r["assignment"] == results[0]["assignment"] for r in results
+                    )
+                    metrics = (await fetch(host, port, "GET", "/metrics")).body.decode()
+                    assert "server_coalesced_total 4" in metrics
+                    # One compute for five requests.
+                    assert engine.stats.count("computed") == 1
+                    assert engine.stats.count("coalesced") == 4
 
         run(inner())
 
@@ -266,9 +266,7 @@ class TestCoalescing:
 class TestAdmissionControl:
     def test_over_limit_distinct_requests_get_503_retry_after(self, slowstub):
         async def inner():
-            async with PartitionServer(
-                PartitionEngine(), max_pending=1
-            ) as server:
+            async with PartitionServer(max_pending=1) as server:
                 host, port = server.address
                 conn_a = await Connection.open(host, port)
                 task_a = asyncio.ensure_future(
@@ -306,7 +304,7 @@ class TestAdmissionControl:
 class TestRobustness:
     def test_client_disconnect_never_leaks_a_worker(self, slowstub):
         async def inner():
-            async with PartitionServer(PartitionEngine()) as server:
+            async with PartitionServer() as server:
                 host, port = server.address
                 conn = await Connection.open(host, port)
                 body = json.dumps(
@@ -333,9 +331,7 @@ class TestRobustness:
 
     def test_request_timeout_returns_504_and_caches_compute(self, slowstub):
         async def inner():
-            async with PartitionServer(
-                PartitionEngine(), request_timeout=0.2
-            ) as server:
+            async with PartitionServer(request_timeout=0.2) as server:
                 host, port = server.address
                 body = json.dumps(
                     {"ne": 2, "nparts": 4, "method": slowstub}
@@ -352,7 +348,7 @@ class TestRobustness:
 
     def test_oversized_header_closes_with_431(self):
         async def inner():
-            async with PartitionServer(PartitionEngine()) as server:
+            async with PartitionServer() as server:
                 conn = await Connection.open(*server.address)
                 conn._writer.write(
                     b"GET / HTTP/1.1\r\nX-Big: " + b"a" * 70000 + b"\r\n\r\n"
@@ -368,7 +364,7 @@ class TestRobustness:
 class TestGracefulShutdown:
     def test_shutdown_drains_inflight_requests(self, slowstub):
         async def inner():
-            server = PartitionServer(PartitionEngine())
+            server = PartitionServer()
             await server.start()
             host, port = server.address
             conn = await Connection.open(host, port)
@@ -391,7 +387,7 @@ class TestGracefulShutdown:
 
     def test_shutdown_is_idempotent(self):
         async def inner():
-            server = PartitionServer(PartitionEngine())
+            server = PartitionServer()
             await server.start()
             await server.shutdown()
             await server.shutdown()

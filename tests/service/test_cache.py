@@ -38,6 +38,8 @@ class TestMemoryTier:
             "stores": 1,
             "hit_rate": 0.5,
             "memory_entries": 1,
+            "evictions": 0,
+            "memory_bytes": resp.assignment.nbytes,
         }
 
     def test_contains(self, req, resp):

@@ -70,16 +70,16 @@ class TestAcceptance:
         """Parallel batched serving == serial `repro partition` calls."""
         reqs = sweep_requests()
         assert len(reqs) == 20
-        engine = PartitionEngine(jobs=2)
-        responses = engine.run(reqs)
+        with PartitionEngine(jobs=2) as engine:
+            responses = engine.run(reqs)
         for req, resp in zip(reqs, responses):
             serial = partition_stage(req.method, req.ne, req.nparts, seed=req.seed)
             assert np.array_equal(resp.assignment, serial.assignment), req
 
     def test_warm_disk_cache_hit_rate(self, tmp_path):
         reqs = sweep_requests()
-        cold = PartitionEngine(PartitionCache(cache_dir=tmp_path), jobs=2)
-        cold_responses = cold.run(reqs)
+        with PartitionEngine(PartitionCache(cache_dir=tmp_path), jobs=2) as cold:
+            cold_responses = cold.run(reqs)
         assert cold.stats.hit_rate == 0.0
         # Fresh engine + fresh memory tier: only the disk store is warm.
         warm = PartitionEngine(PartitionCache(cache_dir=tmp_path))
@@ -99,14 +99,15 @@ class TestParallelExecution:
             for nparts in (2, 4, 6, 12)
         ]
         inline = PartitionEngine(jobs=1).run(reqs)
-        parallel = PartitionEngine(jobs=2).run(reqs)
+        with PartitionEngine(jobs=2) as engine:
+            parallel = engine.run(reqs)
         for a, b in zip(inline, parallel):
             assert np.array_equal(a.assignment, b.assignment)
             assert a.metrics == b.metrics
 
     def test_stats_track_workers(self):
-        engine = PartitionEngine(jobs=2)
-        engine.run([PartitionRequest(ne=2, nparts=n) for n in (2, 3, 4, 6)])
+        with PartitionEngine(jobs=2) as engine:
+            engine.run([PartitionRequest(ne=2, nparts=n) for n in (2, 3, 4, 6)])
         stats = engine.stats
         assert stats.jobs == 2
         assert stats.count("computed") == 4
